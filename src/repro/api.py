@@ -6,8 +6,10 @@ orchestrator's internals:
 * :class:`Deployment` — a simulated organization ready to take tickets.
 * :class:`Session` — one ticket-handling session as a context manager:
   entering classifies the ticket, deploys the matching perforated
-  container, and logs the administrator in; exiting resolves the ticket
-  and tears the container down **even when the block raises**.
+  container, and logs the administrator in; exiting revokes the
+  certificate, tears the container down and persists the trail **even
+  when the block raises** (the ticket itself resolves only when it did
+  not).
 * :class:`TicketResult` — the uniform record of what one handled ticket
   produced; the concurrent control plane (:mod:`repro.controlplane`)
   emits the same type, so serial and sharded serving are comparable
@@ -38,15 +40,19 @@ from repro.framework.orchestrator import (
     DEFAULT_USERS,
     HandledSession,
     WatchITDeployment,
+    describe_error,
 )
 from repro.framework.tickets import Ticket
+from repro.store.protocol import (
+    CertificateRow,
+    SessionRow,
+    SessionTrail,
+    TicketRow,
+    event_row_from_record,
+)
 
 if TYPE_CHECKING:
-    from repro.store.protocol import (
-        EventStore,
-        SessionRow,
-        SessionTrail,
-    )
+    from repro.store.protocol import EventStore
 
 __all__ = ["ControlPlane", "Deployment", "EventStore", "MemoryStore",
            "SQLiteStore", "ServiceConfig", "Session", "TicketResult",
@@ -116,12 +122,63 @@ class TicketResult:
         return asdict(self)
 
 
+def session_record(ticket: Ticket, admin: str,
+                   handled: Optional[HandledSession], *, session_id: str,
+                   org: str, boot: int, error: Optional[str],
+                   started: float, enqueued_at: Optional[float] = None,
+                   shard: Optional[int] = None,
+                   pool_hit: Optional[bool] = None,
+                   ) -> Tuple[TicketResult, SessionTrail]:
+    """The result and the durable trail of one resolved session.
+
+    ``handled`` is None when the session never opened (its lease or
+    login failed); the trail then holds the session and ticket rows
+    alone. ``started`` and ``enqueued_at`` are ``time.perf_counter()``
+    reads: the session's start and the ticket's admission.
+    """
+    done = time.perf_counter()
+    duration = done - started
+    latency = done - enqueued_at if enqueued_at is not None else duration
+    ticket_class = ticket.predicted_class or "?"
+    events = () if handled is None else tuple(
+        event_row_from_record(session_id, stream, record)
+        for stream, record in handled.audit)
+    result = TicketResult(
+        ticket_id=ticket.ticket_id, ticket_class=ticket_class,
+        machine=ticket.machine, admin=admin, resolved=error is None,
+        error=error, audit_records=len(events), duration_s=duration,
+        latency_s=latency, shard=shard, pool_hit=pool_hit,
+        session_id=session_id)
+    certificates = ()
+    if handled is not None:
+        cert = handled.certificate
+        certificates = (CertificateRow(
+            session_id=session_id, serial=cert.serial, admin=admin,
+            ticket_id=ticket.ticket_id, machine=ticket.machine,
+            ticket_class=ticket_class, issued_at=cert.issued_at,
+            expires_at=cert.expires_at, signature=cert.signature,
+            revoked=True),)
+    trail = SessionTrail(
+        # the session row is the result's store-side twin
+        session=SessionRow(**vars(result), org=org, boot=boot,
+                           reporter=ticket.reporter, created_at=time.time()),
+        ticket=TicketRow(
+            session_id=session_id, ticket_id=ticket.ticket_id, org=org,
+            reporter=ticket.reporter, text=ticket.text,
+            machine=ticket.machine, ticket_class=ticket_class,
+            status=ticket.status.name),
+        certificates=certificates,
+        events=events)
+    return result, trail
+
+
 class Session:
     """One ticket-handling session (enter = classify+deploy+login).
 
     Only usable as a context manager; the exit path *always* resolves the
-    ticket — certificate revoked, container(s) torn down — whether the
-    body completed or raised. After exit, :attr:`result` carries the
+    session — certificate revoked, container(s) torn down, trail
+    persisted — whether the body completed or raised. A body that raised
+    leaves the ticket unresolved. After exit, :attr:`result` carries the
     :class:`TicketResult`.
     """
 
@@ -174,44 +231,17 @@ class Session:
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
-        handled, self._handled = self._handled, None
-        audit_records = 0
-        events: List[object] = []
-        certificate = None
-        if handled is not None:
-            container = handled.deployment.container
-            broker = handled.deployment.broker
-            audit_records = (len(container.fs_audit) + len(container.net_audit)
-                             + len(broker.audit))
-            # the audit streams must be captured *before* resolve tears
-            # the deployment down — this is the durable copy of the trail
-            if self.session_id is not None:
-                from repro.store.protocol import event_row_from_record
-                for stream, log in (("fs", container.fs_audit),
-                                    ("net", container.net_audit),
-                                    ("broker", broker.audit)):
-                    events.extend(
-                        event_row_from_record(self.session_id, stream, rec)
-                        for rec in log.records)
-            certificate = handled.certificate
-            # teardown must run even when the session body raised — the
-            # paper's "revoked once the ticket time expires" posture means
-            # an erroring admin session never lingers
-            self._deployment.orchestrator.resolve(handled)
-        elapsed = time.perf_counter() - self._started
-        self.result = TicketResult(
-            ticket_id=self.ticket.ticket_id,
-            ticket_class=self.ticket.predicted_class or "?",
-            machine=self.ticket.machine,
-            admin=self.admin,
-            resolved=exc_type is None,
-            error=None if exc is None else f"{type(exc).__name__}: {exc}",
-            audit_records=audit_records,
-            duration_s=elapsed, latency_s=elapsed,
-            session_id=self.session_id)
-        if self.session_id is not None:
-            self._deployment._persist_session(
-                self.result, self.ticket, certificate, events)
+        handled, self._handled = self.handled, None
+        error = None if exc is None else describe_error(exc)
+        # teardown must run even when the session body raised — the
+        # paper's "revoked once the ticket time expires" posture means
+        # an erroring admin session never lingers
+        dep = self._deployment
+        dep.orchestrator.resolve(handled, error=error)
+        self.result, trail = session_record(
+            self.ticket, self.admin, handled, session_id=self.session_id,
+            org=dep.org, boot=dep.boot, error=error, started=self._started)
+        dep.store.put_trail(trail)
         return False  # never swallow the body's exception
 
 
@@ -324,45 +354,6 @@ class Deployment:
 
     def _mint_session_id(self) -> str:
         return f"{self.org}-b{self.boot}-s{next(self._session_seq)}"
-
-    def _persist_session(self, result: TicketResult, ticket: Ticket,
-                         certificate, events) -> None:
-        """Write one handled session's full trail into the store."""
-        from repro.store.protocol import (
-            CertificateRow,
-            SessionRow,
-            SessionTrail,
-            TicketRow,
-        )
-
-        assert result.session_id is not None
-        certificates = ()
-        if certificate is not None:
-            certificates = (CertificateRow(
-                session_id=result.session_id, serial=certificate.serial,
-                admin=result.admin, ticket_id=ticket.ticket_id,
-                machine=result.machine, ticket_class=result.ticket_class,
-                issued_at=certificate.issued_at,
-                expires_at=certificate.expires_at,
-                signature=certificate.signature, revoked=True),)
-        trail = SessionTrail(
-            session=SessionRow(
-                session_id=result.session_id, org=self.org, boot=self.boot,
-                shard=None, ticket_id=ticket.ticket_id,
-                ticket_class=result.ticket_class, machine=result.machine,
-                admin=result.admin, reporter=ticket.reporter,
-                resolved=result.resolved, error=result.error,
-                audit_records=result.audit_records,
-                duration_s=result.duration_s, latency_s=result.latency_s,
-                pool_hit=None, created_at=time.time()),
-            ticket=TicketRow(
-                session_id=result.session_id, ticket_id=ticket.ticket_id,
-                org=self.org, reporter=ticket.reporter, text=ticket.text,
-                machine=result.machine, ticket_class=result.ticket_class,
-                status=ticket.status.name),
-            certificates=certificates,
-            events=tuple(events))
-        self.store.put_trail(trail)
 
     def sessions(self, limit: Optional[int] = None,
                  ticket_class: Optional[str] = None) -> List["SessionRow"]:

@@ -2,7 +2,7 @@
 
 Serial :class:`~repro.framework.orchestrator.WatchITDeployment` handles one
 ticket at a time on one simulated kernel. This package runs many Figure 3
-sessions concurrently:
+sessions concurrently, each through that same orchestrator lifecycle:
 
 * :mod:`repro.controlplane.sharding` — N independent simulated kernels
   (shards); tickets hash-route by workstation, so one workstation's state
@@ -14,9 +14,12 @@ sessions concurrently:
   discarded, never reused.
 * :mod:`repro.controlplane.batching` — memoized + batched classification:
   one model inference per unique preprocessed ticket text.
-* :mod:`repro.controlplane.serving` — the mode-agnostic per-ticket
-  session path (:class:`ShardServer`): classify → lease → login → ops →
-  resolve → scrubbed release, identical under both worker modes.
+* :mod:`repro.controlplane.serving` — :class:`ShardServer`, the
+  per-ticket caller of the shard org's Figure 3 session
+  (:meth:`~repro.framework.orchestrator.WatchITDeployment.handle` /
+  ``resolve``, the same lifecycle the serial path runs), identical under
+  both worker modes. Each shard's org leases its containers from the
+  shard's pool; that is the only difference from serial serving.
 * :mod:`repro.controlplane.channel` — the pickle-safe envelope protocol
   (tickets, results, typed errors, control RPCs) that crosses the
   process boundary in ``workers="process"`` mode.

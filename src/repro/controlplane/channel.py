@@ -133,8 +133,8 @@ def unmarshal_error(marshalled: MarshalledError) -> errors.ReproError:
 class ResultEnvelope:
     """One served ticket on the result channel: a result XOR an error.
 
-    ``trail`` is the session's :class:`~repro.store.SessionTrail` when
-    the worker captured one — the store itself never crosses the process
+    ``trail`` is the served session's :class:`~repro.store.SessionTrail`
+    (None alongside an error) — the store itself never crosses the process
     boundary; the parent persists the trail on fold-back (after
     re-stamping latency on its own clock), which is what makes process
     workers' store writes atomic and single-writer.
@@ -144,7 +144,7 @@ class ResultEnvelope:
     shard: int
     result: Optional[object] = None          # TicketResult when served
     error: Optional[MarshalledError] = None  # marshalled when it raised
-    trail: Optional[object] = None           # SessionTrail when captured
+    trail: Optional[object] = None           # SessionTrail when served
 
 
 @dataclass(frozen=True)

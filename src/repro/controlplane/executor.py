@@ -208,7 +208,7 @@ class ControlPlane:
             for shard in self.router.shards:
                 self._queues[shard.index] = queue.Queue(maxsize=queue_depth)
                 self._servers[shard.index] = ShardServer(
-                    shard, self.classifier, self.metrics, store=self.store)
+                    shard, self.metrics, self.store)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -250,7 +250,7 @@ class ControlPlane:
                 target=worker_main,
                 args=(plan, self._users, self._pool_size,
                       self._base_classifier, self._broker_policy,
-                      self.plane_id, submit_q, result_q, True),
+                      self.plane_id, submit_q, result_q),
                 name=f"{self.plane_id}-shard-{plan.index}", daemon=True)
             wp = _WorkerProc(plan, process, submit_q, result_q)
             self._proc[plan.index] = wp

@@ -39,6 +39,7 @@ from repro.controlplane.channel import (
     marshal_error,
 )
 from repro.controlplane.sharding import KernelShard, ShardPlan
+from repro.store.protocol import SessionTrail
 
 if TYPE_CHECKING:
     from repro.controlplane.serving import ShardServer
@@ -71,8 +72,7 @@ def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
                 classifier: Optional[ClassifierLike],
                 broker_policy: Optional[BrokerPolicy], plane_id: str,
                 submit_q: "MpQueue[object]",
-                result_q: "MpQueue[object]",
-                capture: bool = False) -> None:
+                result_q: "MpQueue[object]") -> None:
     """Entry point of one shard worker process.
 
     Builds the shard organization, then serves the submit queue until the
@@ -80,7 +80,7 @@ def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
     envelope-for-envelope on the result queue, so the parent can account
     for every admitted ticket even across a crash.
 
-    With ``capture=True`` every served session's trail rides back on its
+    Every served session's trail rides back on its
     :class:`ResultEnvelope` — the durable store never crosses the process
     boundary; the parent persists trails on fold-back, which keeps store
     writes single-writer even with N worker processes.
@@ -96,12 +96,13 @@ def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
                                   registry=scoped)
     shard: Optional[KernelShard] = None
     server: Optional["ShardServer"] = None
+    outbox = _TrailOutbox()
     try:
         shard = KernelShard(plan.index, plan.machines, users=tuple(users),
                             pool_capacity=pool_capacity,
                             classifier=batching,
                             broker_policy=broker_policy, registry=scoped)
-        server = ShardServer(shard, batching, scoped, capture=capture)
+        server = ShardServer(shard, scoped, outbox)
         while True:
             item = submit_q.get()
             if item is None:
@@ -117,7 +118,8 @@ def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
                                               error=marshal_error(exc)))
                 continue
             for env in item:
-                result_q.put(_serve_envelope(server, plan.index, env))
+                result_q.put(_serve_envelope(server, outbox, plan.index,
+                                             env))
     finally:
         if shard is not None:
             try:
@@ -130,15 +132,30 @@ def worker_main(plan: ShardPlan, users: Sequence[str], pool_capacity: int,
         result_q.close()
 
 
-def _serve_envelope(server: ShardServer, shard_index: int,
-                    env: TicketEnvelope) -> ResultEnvelope:
+class _TrailOutbox:
+    """The worker's trail writer: holds the trail of the session just
+    served until it rides back on that session's result envelope."""
+
+    def __init__(self) -> None:
+        self.trail: Optional[SessionTrail] = None
+
+    def put_trail(self, trail: SessionTrail) -> None:
+        self.trail = trail
+
+    def take(self) -> Optional[SessionTrail]:
+        trail, self.trail = self.trail, None
+        return trail
+
+
+def _serve_envelope(server: ShardServer, outbox: _TrailOutbox,
+                    shard_index: int, env: TicketEnvelope) -> ResultEnvelope:
     """Serve one envelope; exceptions become typed error envelopes."""
     try:
-        result, trail = server.serve_traced(
+        result = server.serve(
             env.reporter, env.text, env.machine, env.admin, env.ops,
             session_id=env.session_id, org_name=env.org)
         return ResultEnvelope(seq=env.seq, shard=shard_index, result=result,
-                              trail=trail)
+                              trail=outbox.take())
     except BaseException as exc:  # noqa: BLE001 - marshalling boundary
         return ResultEnvelope(seq=env.seq, shard=shard_index,
                               error=marshal_error(exc))

@@ -1,34 +1,33 @@
 """The mode-agnostic shard server: one full Figure 3 session per call.
 
-Thread-mode workers and process-mode workers run the *same* serving code
-path — classify → lease a pooled container → login → session ops →
-resolve → scrubbed release — via one :class:`ShardServer` per shard. The
-executor owns queues, futures, and lifecycle; this module owns only what
-happens to a single ticket once a worker picks it up, so the two worker
-modes can never drift apart behaviourally.
+Thread-mode and process-mode workers serve every ticket through one
+:class:`ShardServer` per shard, and the server is a thin caller of the
+shard organization's :meth:`~repro.framework.orchestrator.WatchITDeployment.handle`
+/ :meth:`~repro.framework.orchestrator.WatchITDeployment.resolve` — the
+same session lifecycle the serial orchestrator and the ``repro.api``
+facade run. The shard's org leases its containers from the shard's
+warm pool instead of deploying them, which is the only difference. The
+executor owns queues, futures, and lifecycle; this module owns the
+plane's metrics and the write of each session's trail.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Protocol, cast
 
-from repro.api import TicketResult
+from repro.api import TicketResult, session_record
 from repro.broker import BrokerClient
 from repro.containit.container import AdminShell
-from repro.controlplane._types import ClassifierLike, MetricScope
+from repro.controlplane._types import MetricScope
+from repro.controlplane.pool import PooledDeployment
 from repro.controlplane.sharding import KernelShard
 from repro.errors import ReproError
-from repro.store.protocol import (
-    CertificateRow,
-    EventStore,
-    SessionRow,
-    SessionTrail,
-    TicketRow,
-    TrailBuffer,
-)
+from repro.framework.orchestrator import HandledSession, describe_error
+from repro.store.protocol import SessionTrail
 
-__all__ = ["ShardServer", "LATENCY_BUCKETS", "default_session_ops"]
+__all__ = ["ShardServer", "LATENCY_BUCKETS", "TrailWriter",
+           "default_session_ops"]
 
 
 def default_session_ops(shell: AdminShell, client: BrokerClient) -> None:
@@ -50,6 +49,15 @@ LATENCY_BUCKETS = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, float("inf"))
 
 
+class TrailWriter(Protocol):
+    """Where a shard server writes each served session's trail: the
+    plane's :class:`~repro.store.EventStore` in thread mode, the result
+    envelope's outbox in a worker process."""
+
+    def put_trail(self, trail: SessionTrail) -> None:
+        ...
+
+
 class ShardServer:
     """Serves tickets end-to-end on one shard (thread or process worker).
 
@@ -57,28 +65,14 @@ class ShardServer:
     in thread mode, the worker's private fold-back registry in process
     mode — the series names and labels are identical either way.
 
-    ``store``/``capture`` wire the durable event store in. With a store
-    (thread mode) each served session's full trail — session row, ticket
-    row, revoked certificate, every audit event — is persisted directly.
-    With ``capture=True`` but no store (process mode) the trail is
-    assembled and *returned* instead, to ride the result envelope back to
-    the parent, which owns the single-writer store connection.
+    Every served session's trail — session row, ticket row, revoked
+    certificate, every audit event — goes to ``store``.
     """
 
-    def __init__(self, shard: KernelShard, classifier: ClassifierLike,
-                 registry: MetricScope,
-                 store: Optional[EventStore] = None,
-                 capture: bool = False) -> None:
+    def __init__(self, shard: KernelShard, registry: MetricScope,
+                 store: TrailWriter) -> None:
         self.shard = shard
-        self.classifier = classifier
         self.store = store
-        self.capture = capture or store is not None
-        self.trails: Optional[TrailBuffer] = None
-        if self.capture:
-            # the pool flushes every rotated-out (and discarded) audit
-            # epoch here; trail assembly pops the session's records
-            self.trails = TrailBuffer()
-            shard.pool.sink = self.trails
         self.m_latency = registry.histogram(
             "controlplane_session_seconds", shard=shard.index)
         self.m_e2e = registry.histogram(
@@ -98,117 +92,50 @@ class ShardServer:
               enqueued_at: Optional[float] = None,
               session_id: Optional[str] = None, org_name: str = "default",
               boot: int = 0) -> TicketResult:
-        """One full Figure 3 session; persists the trail when storing."""
-        result, trail = self.serve_traced(
-            reporter, text, machine, admin, ops, enqueued_at=enqueued_at,
-            session_id=session_id, org_name=org_name, boot=boot)
-        if self.store is not None and trail is not None:
-            # a sick store must degrade forensics, never ticket serving
-            try:
-                self.store.put_trail(trail)
-            except Exception:  # noqa: BLE001 - worker must survive
-                self.m_store_errors.inc()
-        return result
-
-    def serve_traced(
-            self, reporter: str, text: str, machine: str, admin: str,
-            ops: Optional[Callable[[AdminShell, BrokerClient], None]],
-            enqueued_at: Optional[float] = None,
-            session_id: Optional[str] = None, org_name: str = "default",
-            boot: int = 0,
-    ) -> Tuple[TicketResult, Optional[SessionTrail]]:
         """One full Figure 3 session on a pooled container.
 
-        ``enqueued_at`` (the producer's per-ticket admission clock read)
-        turns into ``latency_s`` on the result — meaningful in-process;
-        process mode overwrites it parent-side so the measurement never
-        mixes clocks across processes.
-
-        When capturing, the second return value is the session's full
-        :class:`SessionTrail` — assembled *after* release, at which point
-        the pool has flushed every audit epoch the session produced into
-        the trail buffer. The caller decides what to do with it: thread
-        mode persists in-process, process mode ships it to the parent.
+        A :class:`~repro.errors.ReproError` from the session becomes the
+        result's ``error``; any other exception propagates once the
+        session is resolved. ``enqueued_at`` (the producer's per-ticket
+        admission clock read) turns into ``latency_s`` — meaningful
+        in-process; process mode overwrites it parent-side so the
+        measurement never mixes clocks across processes.
         """
-        shard = self.shard
-        org = shard.org
+        org = self.shard.org
         started = time.perf_counter()
         ticket = org.submit_ticket(reporter, text, machine=machine)
-        ticket.classify_as(self.classifier.classify(text))
-        ticket.assign_to(admin)
-        if self.capture and session_id is None:
+        if session_id is None:
             # direct serve() callers (no plane minting boot-scoped ids)
             # still get a per-run-unique key: org ticket ids are monotonic
-            session_id = f"{org_name}-shard{shard.index}-t{ticket.ticket_id}"
-        spec = org.images.get(ticket.predicted_class)
-        pooled = shard.pool.acquire(spec, machine, user=reporter,
-                                    ticket_class=ticket.predicted_class)
-        pooled.session_id = session_id
-        pool_hit = pooled.pool_hit
-        certificate = org.certificates.issue(
-            admin, ticket.ticket_id, machine, ticket.predicted_class)
+            session_id = (f"{org_name}-shard{self.shard.index}"
+                          f"-t{ticket.ticket_id}")
+        handled: Optional[HandledSession] = None
         error: Optional[str] = None
-        audit_records = 0
         try:
-            shell = pooled.container.login(
-                admin, certificate=certificate,
-                authenticator=shard.authenticators[machine])
-            client = BrokerClient(shell, pooled.deployment.broker,
-                                  ticket_class=ticket.predicted_class)
-            try:
-                (ops or default_session_ops)(shell, client)
-            finally:
-                audit_records = (len(pooled.container.fs_audit)
-                                 + len(pooled.container.net_audit)
-                                 + len(pooled.deployment.broker.audit))
-                shell.exit()
-        except ReproError as exc:
-            error = f"{type(exc).__name__}: {exc}"
+            handled = org.handle(ticket, admin)
+            (ops or default_session_ops)(handled.shell, handled.client)
+        except BaseException as exc:
+            error = describe_error(exc)
+            if not isinstance(exc, ReproError):
+                raise
         finally:
-            org.certificates.revoke_ticket(ticket.ticket_id)
-            shard.pool.release(pooled)
-        if error is None:
-            # an errored session must NOT transition the org's ticket to
-            # resolved — it stays open (assigned) for a retry or triage
-            ticket.resolve()
-        done = time.perf_counter()
-        duration = done - started
-        latency = done - enqueued_at if enqueued_at is not None else duration
+            # handle() resolves a session it failed to open by itself
+            if handled is not None:
+                org.resolve(handled, error=error)
+        pool_hit = None
+        if handled is not None:
+            # the shard's org leases from the shard's pool
+            pool_hit = cast(PooledDeployment, handled.deployment).pool_hit
+        result, trail = session_record(
+            ticket, admin, handled, session_id=session_id, org=org_name,
+            boot=boot, error=error, started=started, enqueued_at=enqueued_at,
+            shard=self.shard.index, pool_hit=pool_hit)
         (self.m_resolved if error is None else self.m_errored).inc()
-        self.m_latency.observe(duration)
-        self.m_e2e.observe(latency)
-        result = TicketResult(
-            ticket_id=ticket.ticket_id,
-            ticket_class=ticket.predicted_class or "?",
-            machine=machine, admin=admin, resolved=error is None,
-            error=error, audit_records=audit_records, duration_s=duration,
-            latency_s=latency, shard=shard.index, pool_hit=pool_hit,
-            session_id=session_id)
-        trail: Optional[SessionTrail] = None
-        if self.capture and session_id is not None and self.trails is not None:
-            trail = SessionTrail(
-                session=SessionRow(
-                    session_id=session_id, org=org_name, boot=boot,
-                    shard=shard.index, ticket_id=ticket.ticket_id,
-                    ticket_class=ticket.predicted_class or "?",
-                    machine=machine, admin=admin, reporter=reporter,
-                    resolved=error is None, error=error,
-                    audit_records=audit_records, duration_s=duration,
-                    latency_s=latency, pool_hit=pool_hit,
-                    created_at=time.time()),
-                ticket=TicketRow(
-                    session_id=session_id, ticket_id=ticket.ticket_id,
-                    org=org_name, reporter=reporter, text=text,
-                    machine=machine,
-                    ticket_class=ticket.predicted_class or "?",
-                    status=ticket.status.name),
-                certificates=(CertificateRow(
-                    session_id=session_id, serial=certificate.serial,
-                    admin=admin, ticket_id=ticket.ticket_id,
-                    machine=machine,
-                    ticket_class=ticket.predicted_class or "?",
-                    issued_at=certificate.issued_at,
-                    expires_at=certificate.expires_at,
-                    signature=certificate.signature, revoked=True),),
-                events=self.trails.pop(session_id))
-        return result, trail
+        self.m_latency.observe(result.duration_s)
+        self.m_e2e.observe(result.latency_s)
+        # a sick store must degrade forensics, never ticket serving
+        try:
+            self.store.put_trail(trail)
+        except Exception:  # noqa: BLE001 - worker must survive
+            self.m_store_errors.inc()
+        return result

@@ -66,11 +66,8 @@ class KernelShard:
             classifier=classifier, broker_policy=broker_policy)
         self.pool = ContainerPool(self.org.cluster, capacity=pool_capacity,
                                   registry=registry)
-        #: per-machine login authenticators; building the closure per ticket
-        #: shows up in storm profiles
-        self.authenticators = {
-            machine: self.org.certificates.authenticator(machine=machine)
-            for machine in self.machines}
+        # the org's sessions lease warm containers instead of deploying
+        self.org.containers = self.pool
 
     def prewarm(self, ticket_class: str, count: Optional[int] = None) -> int:
         """Warm ``count`` containers of ``ticket_class`` on every machine."""

@@ -103,5 +103,16 @@ class ClusterManager:
                  reason: str = "ticket resolved") -> None:
         deployment.container.terminate(reason)
 
+    # -- the serial container source of the Figure 3 session ------------
+
+    def acquire(self, spec: PerforatedContainerSpec, machine: str,
+                user: str, ticket_class: str) -> Deployment:
+        """A fresh deployment for one session (``ticket_class`` unused)."""
+        return self.deploy(spec, machine, user=user)
+
+    def release(self, deployment: Deployment) -> None:
+        """End of the session: the fresh deployment is torn down."""
+        self.teardown(deployment, reason="ticket resolved")
+
     def active_deployments(self) -> List[Deployment]:
         return [d for d in self.deployments if d.container.active]

@@ -14,12 +14,21 @@ The workflow it drives::
     session.shell.read_file("/home/alice/matlab/license.lic")
     session.client.pb("ps -a")                            # escalation
     deployment.resolve(session)                           # revoke + teardown
+
+This is the one Figure 3 session lifecycle in the repository: the
+``repro.api`` facade and the control plane's shard servers both call
+``handle``/``resolve``. What differs between them is only where the
+container comes from, fixed when the org is built: :attr:`containers`
+is the cluster manager (a fresh deploy per ticket, torn down at
+resolve) unless a shard installs its warm
+:class:`~repro.controlplane.pool.ContainerPool` (lease, scrubbed
+release).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.broker import BrokerClient, BrokerPolicy, permissive_policy
 from repro.containit import AddressBook, AdminShell, PerforatedContainer
@@ -28,6 +37,7 @@ from repro.framework.classifier import KeywordClassifier, LDAClassifier
 from repro.framework.cluster import ClusterManager, Deployment
 from repro.framework.images import ImageRepository
 from repro.framework.tickets import Role, Ticket, TicketDatabase, TicketStatus
+from repro.itfs.audit import AuditRecord
 from repro.kernel import Kernel, Network
 from repro.tcb import install_watchit_components
 
@@ -44,11 +54,29 @@ DEFAULT_MACHINES = ("ws-01", "ws-02", "ws-03")
 DEFAULT_USERS = ("alice", "bob", "carol")
 
 
+def describe_error(exc: BaseException) -> str:
+    """How an errored session's exception is recorded."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+class ContainerSource(Protocol):
+    """Where a session's container comes from: the cluster manager (a
+    fresh deploy, torn down on release) or a shard's warm pool."""
+
+    def acquire(self, spec, machine, user, ticket_class):
+        """Lease a deployment exposing ``container`` and ``broker``."""
+
+    def release(self, lease):
+        """Take a lease back once its session is resolved."""
+
+
 @dataclass
 class HandledSession:
     """Everything minted for one ticket-handling session."""
 
     ticket: Ticket
+    #: the container source's lease: a cluster :class:`Deployment`, or a
+    #: pooled one (both expose ``machine``, ``container`` and ``broker``)
     deployment: Deployment
     certificate: Certificate
     shell: AdminShell
@@ -57,6 +85,9 @@ class HandledSession:
     #: ``deploy_on_target_too`` (the paper's T-9)
     target_deployment: Optional[Deployment] = None
     target_shell: Optional[AdminShell] = None
+    #: ``(stream, record)`` for every record the container's fs, net and
+    #: broker audit streams held at resolve — the session's durable trail
+    audit: Tuple[Tuple[str, AuditRecord], ...] = ()
 
     @property
     def container(self) -> PerforatedContainer:
@@ -81,7 +112,16 @@ class WatchITDeployment:
         #: optional permission-based assignment (paper §2/§6.2)
         self.assignment_policy = assignment_policy
         self.clock = 0
+        #: sessions handled and not yet resolved (or expired)
         self.sessions: List[HandledSession] = []
+        #: where session containers come from: ``acquire(spec, machine,
+        #: user, ticket_class)`` and ``release(lease)``
+        self.containers: ContainerSource = cluster
+        #: per-machine login authenticators; building the closure per
+        #: ticket shows up in storm profiles
+        self.authenticators = {
+            machine: certificates.authenticator(machine=machine)
+            for machine in machines}
 
     # ------------------------------------------------------------------
     # bootstrap
@@ -195,7 +235,11 @@ class WatchITDeployment:
 
     def handle(self, ticket: Ticket, admin: str,
                ttl: Optional[int] = None) -> HandledSession:
-        """Classify, deploy, mint a certificate, and log the admin in."""
+        """Classify, lease a container, mint a certificate, log the admin in.
+
+        A failure after the lease (the login, say) closes what was opened,
+        as an errored session, before it propagates.
+        """
         self.tick()
         if ticket.predicted_class is None:
             self.classify(ticket)
@@ -204,26 +248,32 @@ class WatchITDeployment:
         else:
             ticket.assign_to(admin)
         spec = self.images.get(ticket.predicted_class)
-        deployment = self.cluster.deploy(spec, ticket.machine,
-                                         user=ticket.reporter)
+        deployment = self.containers.acquire(
+            spec, ticket.machine, user=ticket.reporter,
+            ticket_class=ticket.predicted_class)
         certificate = self.certificates.issue(
             admin, ticket.ticket_id, ticket.machine, ticket.predicted_class,
             ttl=ttl)
-        shell = deployment.container.login(
-            admin, certificate=certificate,
-            authenticator=self.certificates.authenticator(machine=ticket.machine))
-        client = BrokerClient(shell, deployment.broker,
-                              ticket_class=ticket.predicted_class)
         target_deployment = None
         target_shell = None
-        if spec.deploy_on_target_too and ticket.target_machine and \
-                ticket.target_machine != ticket.machine:
-            # the paper's T-9: configurations may need fixing on both ends
-            target_deployment = self.cluster.deploy(
-                spec, ticket.target_machine, user=ticket.reporter)
-            target_shell = target_deployment.container.login(
+        try:
+            shell = deployment.container.login(
                 admin, certificate=certificate,
-                authenticator=self.certificates.authenticator())
+                authenticator=self.authenticators[ticket.machine])
+            client = BrokerClient(shell, deployment.broker,
+                                  ticket_class=ticket.predicted_class)
+            if spec.deploy_on_target_too and ticket.target_machine and \
+                    ticket.target_machine != ticket.machine:
+                # the paper's T-9: configurations may need fixing on both ends
+                target_deployment = self.cluster.deploy(
+                    spec, ticket.target_machine, user=ticket.reporter)
+                target_shell = target_deployment.container.login(
+                    admin, certificate=certificate,
+                    authenticator=self.certificates.authenticator())
+        except BaseException as exc:
+            self._close(ticket, deployment, target_deployment,
+                        describe_error(exc))
+            raise
         ticket.status = TicketStatus.IN_PROGRESS
         session = HandledSession(ticket=ticket, deployment=deployment,
                                  certificate=certificate, shell=shell,
@@ -233,15 +283,44 @@ class WatchITDeployment:
         self.sessions.append(session)
         return session
 
-    def resolve(self, session: HandledSession) -> None:
-        """Close out: revoke certificates, tear down, mark resolved."""
+    def resolve(self, session: HandledSession,
+                error: Optional[str] = None) -> None:
+        """Close out: revoke, capture the audit trail, release, resolve.
+
+        ``error`` describes why the session failed; the ticket is resolved
+        only when there is none. The captured trail lands in
+        :attr:`HandledSession.audit`.
+        """
+        session.audit = self._close(session.ticket, session.deployment,
+                                    session.target_deployment, error)
+        self.sessions = [s for s in self.sessions if s is not session]
+
+    def _close(self, ticket: Ticket, deployment: Deployment,
+               target_deployment: Optional[Deployment],
+               error: Optional[str]) -> Tuple[Tuple[str, AuditRecord], ...]:
+        """Revoke, capture, release; returns the captured audit records.
+
+        The records are read from the container's live streams *before*
+        the container goes back to its source: a pool rotates them away,
+        a teardown ends them. An errored ticket goes back to its assignee.
+        """
         self.tick()
-        self.certificates.revoke_ticket(session.ticket.ticket_id)
-        self.cluster.teardown(session.deployment, reason="ticket resolved")
-        if session.target_deployment is not None:
-            self.cluster.teardown(session.target_deployment,
-                                  reason="ticket resolved")
-        session.ticket.resolve()
+        self.certificates.revoke_ticket(ticket.ticket_id)
+        container = deployment.container
+        audit = tuple(
+            (stream, record)
+            for stream, log in (("fs", container.fs_audit),
+                                ("net", container.net_audit),
+                                ("broker", deployment.broker.audit))
+            for record in log.records)
+        self.containers.release(deployment)
+        if target_deployment is not None:
+            self.cluster.teardown(target_deployment, reason="ticket resolved")
+        if error is None:
+            ticket.resolve()
+        else:
+            ticket.status = TicketStatus.ASSIGNED
+        return audit
 
     def train_lda_classifier(self, tickets, n_topics: int = 10,
                              n_iter: int = 80, seed: int = 0) -> LDAClassifier:

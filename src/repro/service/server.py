@@ -401,6 +401,15 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> Optional[JsonDict]:
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # a negative or garbled length frames no body: answer without
+            # reading (read(-1) would block until EOF) and drop the
+            # connection, whose framing is lost
+            self.close_connection = True
+            return None
+        try:
             raw = self.rfile.read(length) if length else b""
             parsed = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):

@@ -4,9 +4,8 @@ WatchIT's value proposition is the audit trail — yet an in-memory
 reproduction loses every record, certificate, and metric when the
 process exits. This package makes history a first-class, queryable
 artifact behind one repository protocol: every component that wants to
-touch history (the pool's epoch rotation, the shard servers, the HTTP
-service, the CLI's ``replay``/``history`` verbs, the ``repro.api``
-facade) goes through an :class:`EventStore` — never through scattered
+touch history (the shard servers, the HTTP service, the CLI's
+``replay``/``history`` verbs, the ``repro.api`` facade) goes through an :class:`EventStore` — never through scattered
 in-memory lists.
 
 Two backends implement the protocol:
@@ -27,7 +26,7 @@ re-verified from persisted rows alone — across process restarts.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.itfs.audit import AuditRecord
 
@@ -40,8 +39,6 @@ __all__ = [
     "SessionRow",
     "SessionTrail",
     "TicketRow",
-    "TrailBuffer",
-    "TrailSink",
     "event_row_from_record",
     "record_from_event_row",
 ]
@@ -218,41 +215,6 @@ def record_from_event_row(row: AuditEventRow) -> AuditRecord:
         path=row.path, decision=row.decision, rule=row.rule,
         details=dict(row.details), prev_digest=row.prev_digest,
         digest=row.digest)
-
-
-class TrailSink(Protocol):
-    """Where the container pool flushes rotated audit epochs."""
-
-    def emit(self, session_id: str, stream: str,
-             records: Sequence[AuditRecord]) -> None:
-        """Accept one stream's records for one session."""
-        ...
-
-
-class TrailBuffer:
-    """A per-worker :class:`TrailSink` that buffers events until trail
-    assembly.
-
-    The pool emits each rotated epoch here; the shard server pops the
-    session's events when it assembles the :class:`SessionTrail`. The
-    buffer — not the store — sits behind the pool so every session still
-    lands in the store as exactly one atomic ``put_trail``.
-    """
-
-    def __init__(self) -> None:
-        self._events: Dict[str, List[AuditEventRow]] = {}
-
-    def emit(self, session_id: str, stream: str,
-             records: Sequence[AuditRecord]) -> None:
-        rows = self._events.setdefault(session_id, [])
-        rows.extend(event_row_from_record(session_id, stream, record)
-                    for record in records)
-
-    def pop(self, session_id: str) -> Tuple[AuditEventRow, ...]:
-        return tuple(self._events.pop(session_id, ()))
-
-    def pending(self) -> int:
-        return sum(len(rows) for rows in self._events.values())
 
 
 class EventStore(Protocol):

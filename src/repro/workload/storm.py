@@ -18,8 +18,10 @@ Two drivers run the *same* storm through the *same* classifier:
   classification.
 
 Both run the identical minimal session body
-(:func:`~repro.controlplane.executor.default_session_ops`), so the
-reported ratio isolates the serving machinery.
+(:func:`~repro.controlplane.executor.default_session_ops`) through the
+same session core (``WatchITDeployment.handle``/``resolve``), so the
+reported ratio isolates the serving machinery: warm pools instead of a
+deploy per ticket, shards, and batched classification.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from concurrent.futures import FIRST_EXCEPTION, wait
 
 import pytest
 
+from repro.api import Deployment
 from repro.controlplane import ControlPlane
 from repro.errors import (
     IntegrityError,
@@ -110,7 +111,17 @@ class TestSubmitCloseRace:
 
 class TestErroredTicketState:
     """Regression: ``_serve`` resolved the org's ticket unconditionally,
-    so a session that died mid-ops still closed the ticket as RESOLVED."""
+    so a session that died mid-ops still closed the ticket as RESOLVED.
+    The facade had the same bug until both ran one session core."""
+
+    @staticmethod
+    def _assert_left_unresolved(result, ticket, trail):
+        assert not result.resolved
+        assert "IntegrityError" in (result.error or "")
+        assert ticket.status is TicketStatus.ASSIGNED
+        assert ticket.status is not TicketStatus.RESOLVED
+        assert not trail.session.resolved
+        assert trail.ticket.status == TicketStatus.ASSIGNED.name
 
     def test_errored_session_leaves_ticket_unresolved(self):
         def exploding_ops(shell, client):
@@ -120,14 +131,23 @@ class TestErroredTicketState:
         try:
             result = plane.submit("alice", TEXT, "ws-01", ADMIN,
                                   ops=exploding_ops).result(timeout=30)
-            assert not result.resolved
-            assert "IntegrityError" in (result.error or "")
             shard = plane.router.route("ws-01")
-            ticket = shard.org.tickets.get(result.ticket_id)
-            assert ticket.status is TicketStatus.ASSIGNED
-            assert ticket.status is not TicketStatus.RESOLVED
+            self._assert_left_unresolved(
+                result, shard.org.tickets.get(result.ticket_id),
+                plane.store.get_trail(result.session_id))
         finally:
             plane.close()
+
+    def test_errored_facade_session_leaves_ticket_unresolved(self):
+        dep = Deployment.create(machines=("ws-01",), users=USERS)
+        dep.register_admin(ADMIN)
+        ticket = dep.submit("alice", TEXT, machine="ws-01")
+        with pytest.raises(IntegrityError):
+            with dep.session(ticket, admin=ADMIN) as session:
+                raise IntegrityError("session aborted mid-ops")
+        self._assert_left_unresolved(
+            session.result, dep.orchestrator.tickets.get(ticket.ticket_id),
+            dep.session_trail(session.result.session_id))
 
     def test_successful_session_still_resolves_ticket(self):
         plane = make_plane(shards=1)

@@ -23,6 +23,14 @@ def make_plane(**kwargs):
     return plane
 
 
+def _self_terminating_ops(shell, client):
+    """A session whose container dies partway (a watchdog, say)."""
+    shell.read_file("/home/alice/matlab/license.lic")
+    client.pb("ps -a")
+    shell.container.terminate("watchdog")
+    shell.hostname()  # the dead container refuses the rest
+
+
 class _ExplodingStore(MemoryStore):
     """A store whose writes always fail — serving must shrug it off."""
 
@@ -85,6 +93,27 @@ class TestThreadModePersistence:
             assert not trail.session.resolved
             assert "IntegrityError" in trail.session.error
             assert trail.ticket.status != "RESOLVED"
+        finally:
+            plane.close()
+
+    def test_terminated_mid_lease_session_keeps_its_trail(self):
+        plane = make_plane(shards=1)
+        try:
+            result = plane.submit("alice", TEXT, "ws-01", ADMIN,
+                                  ops=_self_terminating_ops).result(timeout=30)
+            assert not result.resolved
+            assert "SessionTerminated" in (result.error or "")
+            trail = plane.store.get_trail(result.session_id)
+            # the records written before the container died were captured,
+            # though the pool discarded the container instead of rotating
+            assert ("fs", "read", "/home/alice/matlab/license.lic") in \
+                [(e.stream, e.op, e.path) for e in trail.events]
+            assert ("broker", "pb-exec") in \
+                [(e.stream, e.op) for e in trail.events]
+            verify_trail(trail)
+            assert len(trail.events) == result.audit_records
+            assert plane.metrics.total("controlplane_pool_releases",
+                                       outcome="discarded") == 1
         finally:
             plane.close()
 

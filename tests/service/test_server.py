@@ -1,6 +1,7 @@
 """The HTTP service tier: endpoints, backpressure, readiness, drain."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -102,6 +103,20 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400_without_reading(self, service,
+                                                        length):
+        host = service.config.host
+        with socket.create_connection((host, service.port),
+                                      timeout=10) as sock:
+            sock.sendall((f"POST /tickets HTTP/1.1\r\nHost: {host}\r\n"
+                          "Content-Type: application/json\r\n"
+                          f"Content-Length: {length}\r\n\r\n").encode())
+            # no body follows and the socket stays open: a handler that
+            # tried to read one would never answer
+            reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 400")
 
     def test_unknown_route_is_404(self, service):
         assert _get(service.url + "/nope")[0] == 404
