@@ -27,6 +27,12 @@ Ticket submission speaks the versioned ``watchit-ticket/v1`` wire format
 (:mod:`repro.service.wire`); pre-v1 ad-hoc bodies still parse through
 the compat shim there.
 
+Every response leaves in one socket write (:meth:`_Handler._send`), so
+no body waits on the client's delayed ACK. Hostile input gets a bounded
+answer: a body over :data:`MAX_BODY_BYTES` is refused ``413`` unread,
+and a body that stops arriving gets ``408`` after
+:data:`REQUEST_TIMEOUT_S`.
+
 Shutdown is graceful by construction: :meth:`TicketService.close` stops
 admitting (``503`` + ``Retry-After``), drains every accepted ticket
 through the plane, then closes the plane and the listener. The CLI's
@@ -39,9 +45,10 @@ import json
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import ParseResult, parse_qs, urlparse
 
 from repro.api import TicketResult
 from repro.controlplane.executor import ControlPlane, SessionOps
@@ -64,6 +71,28 @@ BACKPRESSURE_RETRY_AFTER = 0.1
 #: Ceiling on one bulk POST, so a single request cannot monopolize the
 #: admission queues no matter what the client sends.
 MAX_BULK_TICKETS = 10_000
+
+#: Largest request body read: about 1 KiB per ticket of a full bulk
+#: POST. A longer declared ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = MAX_BULK_TICKETS * 1024
+
+#: Seconds a connection may sit idle, or stall mid-body, before its
+#: handler thread gives it up (408 if a declared body stopped arriving).
+REQUEST_TIMEOUT_S = 30.0
+
+#: The ``path`` label values of ``service_http_requests_total``: the
+#: route templates, so hostile URLs cannot mint new series.
+_ROUTES = frozenset({"/tickets", "/healthz", "/readyz", "/metrics",
+                     "/statz", "/sessions"})
+
+
+def _route_label(path: str) -> str:
+    """The route template ``path`` is served by, or ``other``."""
+    if path in _ROUTES:
+        return path
+    if path.startswith("/sessions/"):
+        return "/sessions/{id}"
+    return "other"
 
 JsonDict = Dict[str, object]
 
@@ -308,6 +337,16 @@ class _Handler(BaseHTTPRequestHandler):
     server: _ServiceHTTPServer
     #: keep persistent connections cheap for pollers and storm clients
     protocol_version = "HTTP/1.1"
+    #: a body longer than one segment must not wait on the peer's
+    #: delayed ACK for its last partial segment
+    disable_nagle_algorithm = True
+    timeout = REQUEST_TIMEOUT_S
+    #: the stdlib's pending status line and headers (``send_header``
+    #: appends to it; :meth:`_send` writes it out with the body)
+    _headers_buffer: List[bytes]
+    _url: ParseResult
+    #: the parsed URL's :func:`_route_label`, the metrics ``path`` label
+    _route: str
 
     @property
     def service(self) -> TicketService:
@@ -318,6 +357,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
 
+    def parse_request(self) -> bool:
+        """Parse the request line and headers, then the URL, once."""
+        if not super().parse_request():
+            return False
+        self._url = urlparse(self.path)
+        self._route = _route_label(self._url.path)
+        return True
+
     def _send(self, status: int, body: bytes, content_type: str,
               extra_headers: Optional[Dict[str, str]] = None) -> None:
         self.send_response(status)
@@ -325,10 +372,27 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-        route = urlparse(self.path).path
-        self.service._record_request(self.command, route, status)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # status line, headers and body leave in one write: a body
+        # written after the headers waits in Nagle's buffer for the
+        # peer's delayed ACK, ~40 ms a response. An HTTP/0.9 answer
+        # is the bare body.
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(b"".join((head, b"\r\n", body)) if head else body)
+        method = self.command if self.command in ("GET", "POST") else "other"
+        self.service._record_request(method, self._route, status)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Protocol errors the stdlib answers (garbled request line,
+        oversize header, unknown method) as one-write JSON; the
+        connection closes, as the stdlib's own answer does."""
+        code = int(code)
+        self._route = "other"
+        self.close_connection = True
+        self._send_json(code, {"error": message or HTTPStatus(code).phrase})
 
     def _send_json(self, status: int, payload: JsonDict,
                    extra_headers: Optional[Dict[str, str]] = None) -> None:
@@ -347,24 +411,24 @@ class _Handler(BaseHTTPRequestHandler):
     # -- GET routes ----------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        parsed = urlparse(self.path)
-        if parsed.path == "/healthz":
+        route, url = self._route, self._url
+        if route == "/healthz":
             self._send_json(200, {"status": "ok"})
-        elif parsed.path == "/readyz":
+        elif route == "/readyz":
             ok, checks = self.service.ready()
             self._send_json(200 if ok else 503, checks)
-        elif parsed.path == "/metrics":
-            prefix = parse_qs(parsed.query).get("prefix", [""])[0]
+        elif route == "/metrics":
+            prefix = parse_qs(url.query).get("prefix", [""])[0]
             body = render_exposition(prefix=prefix).encode("utf-8")
             self._send(200, body, CONTENT_TYPE)
-        elif parsed.path == "/statz":
+        elif route == "/statz":
             self._send_json(200, dict(self.service.plane.stats()))
-        elif parsed.path == "/sessions":
-            self._get_sessions(parse_qs(parsed.query))
-        elif parsed.path.startswith("/sessions/"):
-            self._get_session_trail(parsed.path[len("/sessions/"):])
+        elif route == "/sessions":
+            self._get_sessions(parse_qs(url.query))
+        elif route == "/sessions/{id}":
+            self._get_session_trail(url.path[len("/sessions/"):])
         else:
-            self._send_json(404, {"error": f"no route {parsed.path}"})
+            self._send_json(404, {"error": f"no route {url.path}"})
 
     def _get_sessions(self, query: Dict[str, List[str]]) -> None:
         """GET /sessions — persisted session rows, newest first."""
@@ -399,36 +463,53 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST /tickets -------------------------------------------------
 
     def _read_body(self) -> Optional[JsonDict]:
+        """The request's JSON object, or None once the error is sent."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
-        if length < 0:
-            # a negative or garbled length frames no body: answer without
-            # reading (read(-1) would block until EOF) and drop the
-            # connection, whose framing is lost
+        if length < 0 or length > MAX_BODY_BYTES:
+            # answered unread (read(-1) would block until EOF), and the
+            # connection, whose framing is lost, closes
             self.close_connection = True
+            if length < 0:
+                self._send_json(400, {"error": "Content-Length must be a "
+                                      "non-negative integer"})
+            else:
+                self._send_json(413, {"error": "request body too large",
+                                      "max_bytes": MAX_BODY_BYTES})
             return None
         try:
             raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True
+            self._send_json(408, {"error": "request body timed out"})
+            return None
+        try:
             parsed = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError):
+            parsed = None
+        if not isinstance(parsed, dict):
+            self._send_json(400, {"error": "body must be a JSON object"})
             return None
-        return parsed if isinstance(parsed, dict) else None
+        return parsed
 
     def do_POST(self) -> None:  # noqa: N802 - http.server contract
         service = self.service
-        if urlparse(self.path).path != "/tickets":
-            self._send_json(404, {"error": f"no route {self.path}"})
+        # answers sent before the body is read close the connection: the
+        # unread body would otherwise parse as the next request
+        if self._route != "/tickets":
+            self.close_connection = True
+            self._send_json(404, {"error": f"no route {self._url.path}"})
             return
         if service._draining:
             service._record_rejection("draining")
+            self.close_connection = True
             self._send_retry(503, {"error": "service is draining"},
                              retry_after=1.0)
             return
         body = self._read_body()
         if body is None:
-            self._send_json(400, {"error": "body must be a JSON object"})
             return
         try:
             request = parse_ticket_request(

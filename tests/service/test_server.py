@@ -1,8 +1,12 @@
 """The HTTP service tier: endpoints, backpressure, readiness, drain."""
 
+import http.client
 import json
+import random
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -10,6 +14,7 @@ import pytest
 
 from repro.controlplane import ControlPlane
 from repro.service import ServiceConfig, TicketService
+from repro.service import server
 
 MACHINES = ("ws-01", "ws-02")
 USERS = ("alice", "bob")
@@ -33,6 +38,37 @@ def _post(url, payload, headers=None):
             return resp.status, dict(resp.headers), resp.read().decode()
     except urllib.error.HTTPError as exc:
         return exc.code, dict(exc.headers), exc.read().decode()
+
+
+def _exchange(service, method, path, body=b"", headers=None):
+    """One raw ``Connection: close`` request; the full reply bytes."""
+    head = {"Host": service.config.host, "Connection": "close",
+            "Content-Length": str(len(body)), **(headers or {})}
+    request = f"{method} {path} HTTP/1.1\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in head.items()) + "\r\n"
+    with socket.create_connection((service.config.host, service.port),
+                                  timeout=10) as sock:
+        sock.sendall(request.encode() + body)
+        return _read_to_eof(sock)
+
+
+def _read_to_eof(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _handler_threads():
+    return sum(thread.name.endswith("(process_request_thread)")
+               for thread in threading.enumerate())
+
+
+def _ticket_body(**fields):
+    return json.dumps({"reporter": "alice", "text": TEXT,
+                       "machine": "ws-01", **fields}).encode()
 
 
 def make_service(tmp_factory=None, *, shards=1, pool_size=1, queue_depth=8,
@@ -436,3 +472,167 @@ class TestFinalMetricsSnapshot:
         assert runs[0].metrics["completed"] >= 1
         assert runs[0].metrics["submitted"] == runs[0].metrics["completed"]
         assert "metrics_snapshot" in runs[0].artifacts
+
+
+class _CountingWriter:
+    """A handler's ``wfile`` that logs the size of every write."""
+
+    def __init__(self, inner, log):
+        self._inner, self._log = inner, log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def writes(monkeypatch):
+    """Sizes of every socket write any handler makes, in order."""
+    log = []
+    setup = server._Handler.setup
+
+    def counting_setup(handler):
+        setup(handler)
+        handler.wfile = _CountingWriter(handler.wfile, log)
+
+    monkeypatch.setattr(server._Handler, "setup", counting_setup)
+    return log
+
+
+class TestOneWritePerResponse:
+    """Regression: headers and body went out in two writes, so Nagle held
+    every body for the client's delayed ACK (a ~40 ms floor a request)."""
+
+    def test_every_status_is_a_single_write(self, writes):
+        svc = make_service(rate_limit=0.001, burst=1).start()
+        too_long = str(server.MAX_BODY_BYTES + 1)
+        cases = [
+            (200, "GET", "/healthz", b"", None),
+            (200, "GET", "/metrics", b"", None),
+            (404, "GET", "/nope", b"", None),
+            (400, "POST", "/tickets", _ticket_body(machine="ws-99"), None),
+            (202, "POST", "/tickets", _ticket_body(), None),
+            (429, "POST", "/tickets", _ticket_body(), None),
+            (413, "POST", "/tickets", b"", {"Content-Length": too_long}),
+            (501, "PUT", "/tickets", b"", None),
+        ]
+        try:
+            for status, method, path, body, headers in cases:
+                before = len(writes)
+                reply = _exchange(svc, method, path, body, headers)
+                assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+                assert writes[before:] == [len(reply)], (status, path)
+            svc._draining = True
+            before = len(writes)
+            reply = _exchange(svc, "POST", "/tickets", _ticket_body())
+            assert reply.startswith(b"HTTP/1.1 503 ")
+            assert writes[before:] == [len(reply)]
+        finally:
+            svc._draining = False
+            svc.close()
+
+    def test_keepalive_round_trip_is_under_the_delayed_ack_floor(self,
+                                                                 service):
+        conn = http.client.HTTPConnection(service.config.host, service.port,
+                                          timeout=30)
+        body = _ticket_body(wait=True)
+        round_trips = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("POST", "/tickets", body,
+                             {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                round_trips.append(time.perf_counter() - start)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(round_trips) < 0.020, round_trips
+
+
+class TestBoundedPathLabel:
+    ALLOWED = {"/tickets", "/healthz", "/readyz", "/metrics", "/statz",
+               "/sessions", "/sessions/{id}", "other"}
+
+    def _series(self, service):
+        return service.plane.metrics.series("service_http_requests_total")
+
+    def test_random_paths_leave_the_series_count_fixed(self, service):
+        rng = random.Random(13)
+
+        def junk_burst():
+            for _ in range(10):
+                junk = "".join(rng.choice("abcdefgh0123456789")
+                               for _ in range(12))
+                assert _get(f"{service.url}/{junk}")[0] == 404
+                assert _get(f"{service.url}/sessions/{junk}")[0] == 404
+                assert _post(f"{service.url}/{junk}", {})[0] == 404
+            return len(self._series(service))
+
+        first = junk_burst()
+        assert junk_burst() == first
+        paths = {dict(s.labels)["path"] for s in self._series(service)}
+        assert paths <= self.ALLOWED
+        assert {"other", "/sessions/{id}"} <= paths
+
+
+class TestHostileConnections:
+    """A body too large, or one that never arrives, and an idle
+    keep-alive connection all end with the handler thread free."""
+
+    def test_oversize_body_is_413_without_reading(self, service):
+        host = service.config.host
+        with socket.create_connection((host, service.port),
+                                      timeout=10) as sock:
+            sock.sendall((f"POST /tickets HTTP/1.1\r\nHost: {host}\r\n"
+                          f"Content-Length: {server.MAX_BODY_BYTES + 1}"
+                          "\r\n\r\n").encode())
+            # no body follows: the answer must not wait for one, and the
+            # connection closes behind it
+            reply = _read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in reply
+        payload = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert payload["max_bytes"] == server.MAX_BODY_BYTES
+
+    def test_answer_before_the_body_closes_the_connection(self, service):
+        conn = http.client.HTTPConnection(service.config.host, service.port,
+                                          timeout=10)
+        try:
+            conn.request("POST", "/nope", _ticket_body())
+            resp = conn.getresponse()
+            resp.read()
+            # the unread body must not be parsed as the next request
+            assert resp.status == 404 and resp.will_close
+        finally:
+            conn.close()
+
+    def test_stalled_body_and_idle_connection_time_out(self, monkeypatch):
+        monkeypatch.setattr(server._Handler, "timeout", 0.3)
+        svc = make_service().start()
+        baseline = _handler_threads()
+        host = svc.config.host
+        try:
+            with socket.create_connection((host, svc.port),
+                                          timeout=10) as stalled, \
+                    socket.create_connection((host, svc.port),
+                                             timeout=10) as idle:
+                stalled.sendall((f"POST /tickets HTTP/1.1\r\nHost: {host}"
+                                 "\r\nContent-Length: 100\r\n\r\n{\"rep")
+                                .encode())
+                reply = _read_to_eof(stalled)
+                assert reply.startswith(b"HTTP/1.1 408 ")
+                assert b"Connection: close" in reply
+                assert _read_to_eof(idle) == b""
+            deadline = time.monotonic() + 10
+            while _handler_threads() > baseline:
+                assert time.monotonic() < deadline, "handler threads leaked"
+                time.sleep(0.02)
+            # the listener still serves after both gave up
+            assert _get(svc.url + "/healthz")[0] == 200
+        finally:
+            svc.close()
