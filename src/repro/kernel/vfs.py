@@ -51,6 +51,10 @@ def normalize_path(path: str) -> str:
     """
     if not path:
         raise InvalidArgument("empty path")
+    if (path[0] == "/" and "//" not in path and "/." not in path
+            and (path[-1] != "/" or path == "/")):
+        # already canonical: no empty, "." or ".." component to drop
+        return path
     parts: List[str] = []
     for part in path.split("/"):
         if part in ("", "."):

@@ -64,6 +64,7 @@ class TestPassthroughSemantics:
 
     def test_passthrough_is_faster_on_signature_mode(self, fs):
         import time
+        from collections import Counter
         big = MemoryFilesystem()
         for i in range(300):
             big.write(f"/f{i}", b"payload " * 8)
@@ -75,8 +76,31 @@ class TestPassthroughSemantics:
                     target.read(f"/f{i}")
             return time.perf_counter() - start
 
+        def count_evaluations(itfs):
+            calls = Counter()
+            evaluate = itfs.policy.evaluate
+
+            def counting(op, path, *args, **kwargs):
+                calls[path] += 1
+                return evaluate(op, path, *args, **kwargs)
+
+            itfs.policy.evaluate = counting
+            return calls
+
         plain = ITFS(big, document_blocking_policy(by_signature=True),
                      audit=AppendOnlyLog())
         fast = ITFS(big, document_blocking_policy(by_signature=True),
                     audit=AppendOnlyLog(), passthrough=True)
-        assert sweep(fast) < sweep(plain)
+        plain_calls = count_evaluations(plain)
+        fast_calls = count_evaluations(fast)
+        # min of several sweeps: one wall-clock sample per side is at the
+        # mercy of whatever else the machine runs at that moment
+        fast_best = min(sweep(fast) for _ in range(5))
+        plain_best = min(sweep(plain) for _ in range(5))
+        # the mechanism behind the speed-up, independent of timing: the
+        # pass-through ITFS evaluates the signature policy once per file
+        files = {f"/f{i}" for i in range(300)}
+        assert fast_calls == Counter({f: 1 for f in files})
+        assert plain_calls == Counter({f: 5 * 4 for f in files})
+        assert fast.cache_hits == 5 * 4 * 300 - 300
+        assert fast_best < plain_best

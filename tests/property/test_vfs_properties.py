@@ -21,6 +21,23 @@ component = st.text(alphabet=string.ascii_lowercase + string.digits + "_-",
 components = st.lists(component, min_size=0, max_size=6)
 raw_path = st.text(alphabet=string.ascii_lowercase + "./", min_size=1,
                    max_size=40)
+# separators, dot components and one name, in any order
+dotty_path = st.lists(st.sampled_from(["/", ".", "..", "a"]), min_size=1,
+                      max_size=16).map("".join)
+
+
+def normalize_by_components(path):
+    """Reference: drop empty and "." components, let ".." pop one."""
+    parts = []
+    for part in path.split("/"):
+        if part in ("", "."):
+            continue
+        if part == "..":
+            if parts:
+                parts.pop()
+            continue
+        parts.append(part)
+    return "/" + "/".join(parts)
 
 
 class TestPathAlgebra:
@@ -28,6 +45,11 @@ class TestPathAlgebra:
     def test_normalize_idempotent(self, path):
         once = normalize_path("/" + path)
         assert normalize_path(once) == once
+
+    @given(dotty_path)
+    def test_normalize_matches_component_walk(self, path):
+        # the early return for canonical paths must agree with the walk
+        assert normalize_path(path) == normalize_by_components(path)
 
     @given(raw_path)
     def test_normalize_always_absolute(self, path):
